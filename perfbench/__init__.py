@@ -1,0 +1,2 @@
+"""The repository's benchmark: three workloads, end-to-end and
+per-layer metrics. Entry point: ``python3 perfbench/run.py``."""
