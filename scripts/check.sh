@@ -13,6 +13,12 @@ python -m repro.analysis src --strict
 echo "== pytest =="
 python -m pytest -x -q "$@"
 
+echo "== perfbench self-tests =="
+# The repo benchmark's own checks: every workload's correctness
+# checks, pass-to-pass determinism and the boundary patching of the
+# broker and simulator entry points it times.
+python -m pytest perfbench/tests -q
+
 echo "== chaos smoke (fixed seed) =="
 # One seeded chaos run of the quickstart flow: exercises fault
 # injection, retries, dedup and dead-lettering end to end; the fixed

@@ -378,7 +378,11 @@ def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
                       seed: int = 0,
                       inter_domain_mbps: float = 622.0) -> MultiDomainTestbed:
     """Stand up the Figure 1 architecture: ``domains`` AQoS brokers,
-    each with its own RM and NRM, joined by inter-domain links."""
+    each with its own RM and NRM, joined by inter-domain links.
+
+    The brokers share the network coordinator only; request overflow
+    between domains is :class:`~repro.federation.plane.FederatedControlPlane`
+    delegation."""
     if domains < 1:
         raise ValidationError(f"need at least one domain: {domains}")
     sim = Simulator()
@@ -419,12 +423,6 @@ def build_multidomain(*, domains: int = 2, nodes_per_domain: int = 26,
             sim, registry=registry, compute_rm=compute_rms[domain],
             partition=partition, coordinator=coordinator, trace=trace,
             repository=SLARepository(first_id=1000 + 1000 * index))
-    # Figure 1 interconnects the AQoS brokers across domains: requests
-    # a broker cannot serve are forwarded to its neighbors.
-    for domain, broker in brokers.items():
-        for other_domain, other in brokers.items():
-            if other_domain != domain:
-                broker.add_peer(other)
     return MultiDomainTestbed(sim=sim, trace=trace, topology=topology,
                               coordinator=coordinator, brokers=brokers,
                               machines=machines)

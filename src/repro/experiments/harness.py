@@ -19,10 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..baselines.base import AllocatorPolicy
 from ..qos.classes import ServiceClass
-from ..qos.parameters import Dimension, exact_parameter, range_parameter
-from ..qos.specification import QoSSpecification
-from ..sla.document import AdaptationOptions
-from ..sla.negotiation import ServiceRequest
+from ..workloads.replay import drive_replay, request_for_session
 from ..workloads.sessions import SessionSpec, Workload
 from .metrics import TimeWeightedMetrics
 
@@ -191,41 +188,17 @@ def run_policy_workload(policy: AllocatorPolicy, workload: Workload, *,
 # ----------------------------------------------------------------------
 
 
-def request_from_spec(session: SessionSpec, *,
-                      service_name: str = "simulation-service"
-                      ) -> ServiceRequest:
-    """Translate a synthetic session into a broker ServiceRequest."""
-    parameters = []
-    if session.service_class is ServiceClass.CONTROLLED_LOAD \
-            and session.cpu_best > session.cpu_floor:
-        parameters.append(range_parameter(Dimension.CPU, session.cpu_floor,
-                                          session.cpu_best))
-    else:
-        parameters.append(exact_parameter(Dimension.CPU, session.cpu_best))
-    if session.memory_mb > 0:
-        parameters.append(exact_parameter(Dimension.MEMORY_MB,
-                                          session.memory_mb))
-    return ServiceRequest(
-        client=session.user,
-        service_name=service_name,
-        service_class=session.service_class,
-        specification=QoSSpecification.from_iterable(parameters),
-        start=session.arrival,
-        end=session.end,
-        adaptation=AdaptationOptions(
-            accept_degradation=session.accept_degradation,
-            accept_termination=session.accept_termination,
-            accept_promotion=session.accept_promotion),
-    )
-
-
 def run_broker_workload(testbed, workload: Workload, *,
                         sample_interval: float = 5.0) -> PolicyRunResult:
     """Replay a workload through a full testbed broker.
 
-    Requests are scheduled at their arrival times on the testbed's
-    simulator; a periodic sampler integrates utilization and violation
-    signals; revenue comes from the broker's real accounting ledger.
+    Every session is one admission epoch at its arrival time on the
+    testbed's simulator (the shared
+    :func:`~repro.workloads.replay.drive_replay` skeleton), admitted
+    through :meth:`~repro.core.broker.AQoSBroker.request_service` —
+    best-effort sessions included. A periodic sampler integrates
+    utilization and violation signals; revenue comes from the broker's
+    real accounting ledger.
     """
     broker = testbed.broker
     sim = testbed.sim
@@ -234,29 +207,19 @@ def run_broker_workload(testbed, workload: Workload, *,
         offered_load=workload.offered_cpu_load(testbed.partition.total))
     metrics = TimeWeightedMetrics(start=sim.now)
 
-    def issue(session: SessionSpec) -> None:
-        if session.service_class is ServiceClass.BEST_EFFORT:
-            result.best_effort_requests += 1
-            granted = broker.request_best_effort(
-                session.user, session.cpu_best, duration=session.duration)
-            if granted:
-                result.best_effort_accepted += 1
-            return
-        request = request_from_spec(session)
-        outcome = broker.request_service(request)
-        if session.service_class is ServiceClass.GUARANTEED:
-            result.guaranteed_requests += 1
-            if outcome.accepted:
-                result.guaranteed_accepted += 1
-        else:
-            result.controlled_requests += 1
-            if outcome.accepted:
-                result.controlled_accepted += 1
-
-    for session in workload.sessions:
-        sim.schedule_at(session.arrival,
-                        lambda s=session: issue(s),
-                        label=f"workload:arrive:{session.session_id}")
+    def issue(batch: "List[SessionSpec]") -> None:
+        for session in batch:
+            outcome = broker.request_service(
+                request_for_session(session, session.arrival))
+            if session.service_class is ServiceClass.GUARANTEED:
+                result.guaranteed_requests += 1
+                result.guaranteed_accepted += outcome.accepted
+            elif session.service_class is ServiceClass.CONTROLLED_LOAD:
+                result.controlled_requests += 1
+                result.controlled_accepted += outcome.accepted
+            else:
+                result.best_effort_requests += 1
+                result.best_effort_accepted += outcome.accepted
 
     def sample() -> None:
         report = testbed.partition.last_report
@@ -267,10 +230,14 @@ def run_broker_workload(testbed, workload: Workload, *,
             utilization=testbed.partition.utilization(),
             violation=1.0 if shortfall > _EPSILON else 0.0,
             best_effort_served=testbed.partition.best_effort_served())
-        sim.schedule(sample_interval, sample, label="workload:sample")
 
-    sim.schedule(sample_interval, sample, label="workload:sample")
-    sim.run(until=workload.horizon)
+    drive_replay(sim, horizon=workload.horizon,
+                 sample_interval=sample_interval, label="workload",
+                 epochs=[(session.arrival,
+                          f"workload:arrive:{session.session_id}",
+                          [session])
+                         for session in workload.sessions],
+                 admit=issue, sample=sample)
     metrics.finalize(workload.horizon)
     result.mean_utilization = metrics.mean("utilization")
     result.violation_time_fraction = metrics.mean("violation")

@@ -96,16 +96,21 @@ def compute_bid(testbed, request: ServiceRequest,
     its margin — which is what steers rerouted load toward healthy
     domains. Reads are non-mutating; the real admission happens at
     ``fed_delegate``.
+
+    Best-effort requests are never delegated: a best-effort grant has
+    no SLA id for the home to confirm or cancel, so a peer's grant
+    could not be tracked or released.
     """
+    if request.service_class is ServiceClass.BEST_EFFORT:
+        return FederationBid(
+            domain=domain, accept=False, score=0.0, price_rate=0.0,
+            headroom_after=0.0, risk=0.0,
+            reason="best-effort is not delegated")
     partition = testbed.partition
-    eff_b = partition.effective_sizes()[2]
     committed = partition.committed_total()
     demand = QoSSpecification.point_demand(
         request.specification.best_point())
-    if request.service_class is ServiceClass.BEST_EFFORT:
-        free = eff_b
-    else:
-        free = max(partition.cg - committed - partition.failed, 0.0)
+    free = max(partition.cg - committed - partition.failed, 0.0)
     cg = max(partition.cg, 1e-9)
     utilization = min(max(committed / cg, 0.0), 1.0)
     risk = min(1.0, 0.5 * utilization + partition.failed / cg)

@@ -21,16 +21,16 @@ SLO engine.
 
 from __future__ import annotations
 
-import functools
 import json
-from dataclasses import dataclass
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import GQoSMError
 from ..qos.classes import ServiceClass
 from ..sim.random import RandomSource
-from ..workloads.replay import batch_schedule, request_for_session
+from ..workloads.replay import (batch_schedule, drive_replay,
+                                request_for_session)
 from ..workloads.scenarios import CompiledScenario, ScenarioSpec
 from .plane import FederatedControlPlane, FederatedOutcome
 
@@ -122,31 +122,6 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
             sample_interval)
     plane.start_heartbeats(until=horizon)
 
-    # Failure tracks land on one domain each: track k hits the machine
-    # of domain k mod N, with domain-scoped repairs (the repair brings
-    # back exactly the nodes that track took down).
-    for index, track in enumerate(spec.failures):
-        machine = plane.domains[names[index % len(names)]].testbed.machine
-        downed: "List[int]" = []
-
-        def fail(count: int, machine=machine,
-                 down: "List[int]" = downed) -> None:
-            down.extend(machine.fail_nodes(count))
-
-        def repair(count: int, machine=machine,
-                   down: "List[int]" = downed) -> None:
-            victims = down[:count]
-            del down[:count]
-            machine.repair_nodes(victims)
-
-        for time, delta in track.events:
-            if delta < 0:
-                sim.schedule_at(time, functools.partial(fail, -delta),
-                                label=f"fed:fail:{track.domain}")
-            else:
-                sim.schedule_at(time, functools.partial(repair, delta),
-                                label=f"fed:repair:{track.domain}")
-
     # Round-robin home assignment by position in the compiled session
     # order (deterministic; batches reference the same objects).
     home_of = {id(session): names[index % len(names)]
@@ -181,21 +156,23 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
             if outcome is not None and outcome.accepted:
                 accepted[session.service_class] += 1
 
-    batches = batch_schedule(compiled, batch_window)
-    for admit_at, batch in batches:
-        sim.schedule_at(admit_at, functools.partial(admit, list(batch)),
-                        label=f"fed:admit:{admit_at:g}")
-
     def sample() -> None:
         for name in names:
             testbed = plane.domains[name].testbed
             if testbed.slo is not None:
                 testbed.slo.evaluate(sim.now)
-        if sim.now + sample_interval <= horizon + 1e-9:
-            sim.schedule(sample_interval, sample, label="fed:sample")
 
-    sim.schedule(sample_interval, sample, label="fed:sample")
-    sim.run(until=horizon)
+    # Failure tracks land on one domain each: track k hits the machine
+    # of domain k mod N, so a rack cascade degrades one failure domain.
+    batches = batch_schedule(compiled, batch_window)
+    drive_replay(sim, horizon=horizon, sample_interval=sample_interval,
+                 label="fed",
+                 epochs=[(admit_at, f"fed:admit:{admit_at:g}", batch)
+                         for admit_at, batch in batches],
+                 admit=admit, sample=sample,
+                 machines=[plane.domains[name].testbed.machine
+                           for name in names],
+                 failures=spec.failures)
 
     for name in names:
         testbed = plane.domains[name].testbed

@@ -19,6 +19,13 @@ net. One :func:`replay_scenario` call:
 * audits the capacity invariants at every sample checkpoint and the
   slot table once at the end.
 
+The scheduling itself — failure tracks, admission epochs, the sample
+chain, the run to the horizon — is :func:`drive_replay`, the one
+skeleton shared with the federated replay
+(:func:`~repro.federation.replay.replay_federated`) and the full-stack
+experiment harness
+(:func:`~repro.experiments.harness.run_broker_workload`).
+
 The result's :meth:`ReplayResult.report_json` is canonical (sorted
 keys, shortest-roundtrip floats): two replays of the same scenario and
 seed are byte-identical, which is exactly what the per-scenario
@@ -35,7 +42,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.testbed import (Testbed, build_testbed, install_chaos,
                             install_observability)
@@ -43,15 +50,17 @@ from ..errors import GQoSMError, ValidationError
 from ..qos.classes import ServiceClass
 from ..qos.parameters import Dimension, exact_parameter, range_parameter
 from ..qos.specification import QoSSpecification
+from ..resources.machine import Machine
 from ..sim.random import RandomSource
 from ..sla.document import AdaptationOptions
 from ..sla.negotiation import ServiceRequest
-from .scenarios import CompiledScenario, ScenarioSpec
+from .scenarios import CompiledScenario, FailureTrack, ScenarioSpec
 from .sessions import SessionSpec
 
 __all__ = [
     "ReplayResult",
     "check_invariants",
+    "drive_replay",
     "replay_scenario",
 ]
 
@@ -163,6 +172,58 @@ def batch_schedule(compiled: CompiledScenario, batch_window: float
             for epoch in sorted(epochs)]
 
 
+def drive_replay(sim, *, horizon: float, sample_interval: float,
+                 label: str,
+                 epochs: "Sequence[Tuple[float, str, List[SessionSpec]]]",
+                 admit: "Callable[[List[SessionSpec]], None]",
+                 sample: "Callable[[], None]",
+                 machines: "Sequence[Machine]" = (),
+                 failures: "Sequence[FailureTrack]" = ()) -> None:
+    """The scheduling skeleton every replay driver shares.
+
+    Arms failure track ``k`` on ``machines[k % len(machines)]`` with
+    **domain-scoped repairs** (a repair brings back exactly the nodes
+    that track took down, so overlapping tracks stay independent),
+    schedules ``admit(batch)`` for every ``(time, event label, batch)``
+    epoch, then a ``sample()`` every ``sample_interval`` up to
+    ``horizon``, and runs the simulator to ``horizon``. ``label``
+    prefixes the failure, repair and sample event labels.
+    """
+    for index, track in enumerate(failures):
+        machine = machines[index % len(machines)]
+        downed: "List[int]" = []
+
+        def fail(count: int, machine=machine,
+                 down: "List[int]" = downed) -> None:
+            down.extend(machine.fail_nodes(count))
+
+        def repair(count: int, machine=machine,
+                   down: "List[int]" = downed) -> None:
+            victims = down[:count]
+            del down[:count]
+            machine.repair_nodes(victims)
+
+        for time, delta in track.events:
+            if delta < 0:
+                sim.schedule_at(time, functools.partial(fail, -delta),
+                                label=f"{label}:fail:{track.domain}")
+            else:
+                sim.schedule_at(time, functools.partial(repair, delta),
+                                label=f"{label}:repair:{track.domain}")
+
+    for time, event_label, batch in epochs:
+        sim.schedule_at(time, functools.partial(admit, batch),
+                        label=event_label)
+
+    def tick() -> None:
+        sample()
+        if sim.now + sample_interval <= horizon + _EPSILON:
+            sim.schedule(sample_interval, tick, label=f"{label}:sample")
+
+    sim.schedule(sample_interval, tick, label=f"{label}:sample")
+    sim.run(until=horizon)
+
+
 def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
                     batch_window: float = 5.0,
                     sample_interval: float = 5.0,
@@ -221,8 +282,6 @@ def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
 
     broker.hub.subscribe(on_notice)
 
-    _schedule_failures(testbed, spec)
-
     abandoned = 0
     accepted: "Dict[ServiceClass, int]" = {cls: 0 for cls in
                                            (ServiceClass.GUARANTEED,
@@ -253,21 +312,19 @@ def replay_scenario(spec: "ScenarioSpec | str", *, seed: int = 0,
             if outcome is not None and outcome.accepted:
                 accepted[session.service_class] += 1
 
-    batches = batch_schedule(compiled, batch_window)
-    for admit_at, batch in batches:
-        sim.schedule_at(admit_at, functools.partial(admit, list(batch)),
-                        label=f"atlas:admit:{admit_at:g}")
-
     checkpoints = _Checkpoints()
 
     def sample() -> None:
         checkpoints.audit(testbed)
         slo.evaluate(sim.now)
-        if sim.now + sample_interval <= spec.horizon + _EPSILON:
-            sim.schedule(sample_interval, sample, label="atlas:sample")
 
-    sim.schedule(sample_interval, sample, label="atlas:sample")
-    sim.run(until=spec.horizon)
+    batches = batch_schedule(compiled, batch_window)
+    drive_replay(sim, horizon=spec.horizon,
+                 sample_interval=sample_interval, label="atlas",
+                 epochs=[(admit_at, f"atlas:admit:{admit_at:g}", batch)
+                         for admit_at, batch in batches],
+                 admit=admit, sample=sample,
+                 machines=[testbed.machine], failures=spec.failures)
     broker.verifier.stop_polling()
     if testbed.gateway is not None:
         testbed.gateway.sweep_stale(0.0)
@@ -325,30 +382,6 @@ def check_invariants(result: ReplayResult) -> "List[str]":
             f"stranded shortfall {report['final_shortfall']:g} at the "
             f"end of the run")
     return problems
-
-
-def _schedule_failures(testbed: Testbed, spec: ScenarioSpec) -> None:
-    """Arm every failure track with domain-scoped repairs."""
-    machine = testbed.machine
-    sim = testbed.sim
-    for track in spec.failures:
-        downed: "List[int]" = []
-
-        def fail(count: int, down: "List[int]" = downed) -> None:
-            down.extend(machine.fail_nodes(count))
-
-        def repair(count: int, down: "List[int]" = downed) -> None:
-            victims = down[:count]
-            del down[:count]
-            machine.repair_nodes(victims)
-
-        for time, delta in track.events:
-            if delta < 0:
-                sim.schedule_at(time, lambda c=-delta, f=fail: f(c),
-                                label=f"atlas:fail:{track.domain}")
-            else:
-                sim.schedule_at(time, lambda c=delta, f=repair: f(c),
-                                label=f"atlas:repair:{track.domain}")
 
 
 def _rejection_reasons(decisions) -> "List[List[object]]":

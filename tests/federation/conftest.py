@@ -32,6 +32,17 @@ def guaranteed_request(client: str, cpu: int, start: float = 0.0,
         start=start, end=start + duration)
 
 
+def best_effort_request(client: str, cpu: int, start: float = 0.0,
+                        duration: float = 50.0) -> ServiceRequest:
+    """A best-effort request for ``cpu`` processors."""
+    return ServiceRequest(
+        client=client, service_name="*",
+        service_class=ServiceClass.BEST_EFFORT,
+        specification=QoSSpecification.of(
+            exact_parameter(Dimension.CPU, cpu)),
+        start=start, end=start + duration)
+
+
 @pytest.fixture
 def plane() -> FederatedControlPlane:
     """Three domains; ``d1`` too small to hold a cpu>=4 request."""

@@ -11,7 +11,7 @@ from repro.federation.recovery import (federation_invariants,
                                        scan_delegations)
 from repro.federation.sweep import SMALL_DOMAIN
 
-from .conftest import guaranteed_request
+from .conftest import best_effort_request, guaranteed_request
 
 
 class TestLocalAdmission:
@@ -95,6 +95,39 @@ class TestDelegation:
         assert tiny.stats["rejected"] == 1
         records = tiny.domains["d1"].testbed.decisions.for_subject("huge")
         assert any(record.outcome == "reject" for record in records)
+
+    def test_overflow_lands_on_the_peer(self):
+        # Cg = 15 per domain: two 7-CPU sessions fit d1, the third
+        # must delegate to d2.
+        pair = FederatedControlPlane(domains=2, seed=0)
+        outcomes = [pair.request_service(guaranteed_request(f"c{i}", 7),
+                                         home="d1")
+                    for i in range(3)]
+        assert all(outcome.accepted for outcome in outcomes)
+        assert [outcome.domain for outcome in outcomes] \
+            == ["d1", "d1", "d2"]
+        assert [outcome.delegated for outcome in outcomes] \
+            == [False, False, True]
+        assert len(pair.domains["d1"].testbed.repository.live()) == 2
+        assert len(pair.domains["d2"].testbed.repository.live()) == 1
+
+    def test_best_effort_is_not_delegated(self):
+        # A best-effort grant has no SLA id, so the home could neither
+        # confirm nor cancel it: a peer that granted one would leak it.
+        pair = FederatedControlPlane(domains=2, seed=0)
+        assert pair.request_service(best_effort_request("be", 26),
+                                    home="d1").accepted
+        second = pair.request_service(best_effort_request("be2", 4),
+                                      home="d1")
+        assert not second.accepted
+        peer = pair.domains["d2"].testbed
+        assert peer.broker.stats.best_effort_granted == 0
+        assert peer.partition.best_effort_served() == 0.0
+        declined = [record for record in
+                    peer.decisions.for_subject("be2")
+                    if record.outcome == "bid_declined"]
+        assert [record.reason for record in declined] \
+            == ["best-effort is not delegated"]
 
     def test_invariants_hold_after_delegations(self, plane):
         for index in range(4):

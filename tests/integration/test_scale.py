@@ -13,10 +13,10 @@ import pytest
 
 from repro.core.capacity import CapacityPartition
 from repro.core.testbed import build_testbed
-from repro.experiments.harness import request_from_spec
 from repro.qos.classes import ServiceClass
 from repro.sim.random import RandomSource
 from repro.workloads.generators import WorkloadConfig, generate_workload
+from repro.workloads.replay import request_for_session
 
 
 class TestLargePartition:
@@ -62,7 +62,7 @@ class TestLargeBrokerRun:
                     broker.request_best_effort(s.user, s.cpu_best,
                                                duration=s.duration)
                 else:
-                    broker.request_service(request_from_spec(s))
+                    broker.request_service(request_for_session(s, s.arrival))
             testbed.sim.schedule_at(session.arrival, issue)
         started = time.perf_counter()
         last_end = max(s.end for s in workload.sessions)

@@ -12,13 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.testbed import build_testbed
-from repro.experiments.harness import request_from_spec
 from repro.network.congestion import CongestionInjector
 from repro.qos.classes import ServiceClass
 from repro.resources.failures import FailureInjector
 from repro.sim.random import RandomSource
 from repro.sla.document import SlaStatus
 from repro.workloads.generators import WorkloadConfig, generate_workload
+from repro.workloads.replay import request_for_session
 
 HORIZON = 600.0
 
@@ -39,7 +39,7 @@ def soaked():
                 broker.request_best_effort(s.user, s.cpu_best,
                                            duration=s.duration)
             else:
-                broker.request_service(request_from_spec(s))
+                broker.request_service(request_for_session(s, s.arrival))
         sim.schedule_at(session.arrival, issue)
 
     FailureInjector(sim, testbed.machine, rng.stream("failures"),
@@ -126,7 +126,7 @@ class TestBooksConsistent:
                             s.user, s.cpu_best, duration=s.duration)
                     else:
                         testbed.broker.request_service(
-                            request_from_spec(s))
+                            request_for_session(s, s.arrival))
                 testbed.sim.schedule_at(session.arrival, issue)
             FailureInjector(testbed.sim, testbed.machine,
                             rng.stream("f"), mtbf=50.0, mttr=20.0).start()
