@@ -58,6 +58,19 @@ diff "$cr_a" "$cr_b" > /dev/null || {
     echo "crash-recovery report is not deterministic" >&2; exit 1; }
 rm -f "$cr_a" "$cr_b"
 echo "crash-recovery smoke OK (deterministic)"
+# The journal written by --journal must replay cold through
+# `repro recover`, and a missing journal must exit 1.
+cr_dir="$(mktemp -d)"
+python -m repro quickstart --crash 7 --journal "$cr_dir/journal" > /dev/null
+recovered="$(python -m repro recover "$cr_dir/journal")"
+[ -n "$recovered" ] || { echo "repro recover printed nothing" >&2; exit 1; }
+status=0
+python -m repro recover "$cr_dir/missing" > /dev/null 2>&1 || status=$?
+rm -rf "$cr_dir"
+[ "$status" -eq 1 ] || {
+    echo "repro recover on a missing journal exited $status, not 1" >&2
+    exit 1; }
+echo "crash-journal smoke OK (recover round trip)"
 
 echo "== workload-atlas smoke (reduced sweep) =="
 # Two-scenario, two-reserve-point pass over the atlas benchmark:

@@ -42,17 +42,17 @@ from .workloads.generators import (
 
 def _cmd_quickstart(args: argparse.Namespace) -> int:
     if getattr(args, "crash", None) is not None:
-        from .experiments.crash_demo import run_crash_quickstart
+        from .experiments.quickstart import run_crash_quickstart
         print(run_crash_quickstart(args.crash,
                                    journal_path=args.journal))
         return 0
     if getattr(args, "telemetry", False):
-        from .experiments.telemetry_demo import run_telemetry_quickstart
+        from .experiments.quickstart import run_telemetry_quickstart
         print(run_telemetry_quickstart(
             chaos_seed=getattr(args, "chaos", None)))
         return 0
     if getattr(args, "chaos", None) is not None:
-        from .experiments.chaos_demo import run_chaos_quickstart
+        from .experiments.quickstart import run_chaos_quickstart
         print(run_chaos_quickstart(args.chaos))
         return 0
     import importlib.util
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
-    from .experiments.telemetry_demo import run_telemetry_quickstart
+    from .experiments.quickstart import run_telemetry_quickstart
     print(run_telemetry_quickstart(seed=args.seed,
                                    chaos_seed=args.chaos))
     return 0
@@ -284,7 +284,7 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 def _cmd_recover(args: argparse.Namespace) -> int:
     import pathlib
-    from .experiments.crash_demo import summarize_journal
+    from .experiments.quickstart import summarize_journal
     if not pathlib.Path(args.journal).exists():
         print(f"no journal at {args.journal}", file=sys.stderr)
         return 1

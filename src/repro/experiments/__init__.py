@@ -1,23 +1,22 @@
-"""Experiment harness: metrics, policy runner, the Section 5.6 replay.
+"""Experiment harness: policy runner, the Section 5.6 replay, demos.
 
-* :mod:`repro.experiments.metrics` — time-weighted accumulators
-  (re-exported from :mod:`repro.telemetry.timeweighted`).
 * :mod:`repro.experiments.harness` — drive a workload through an
   allocation policy (fast path) or a full broker testbed.
 * :mod:`repro.experiments.example56` — the paper's worked example.
 * :mod:`repro.experiments.reporting` — plain-text result tables.
-* :mod:`repro.experiments.chaos_demo` /
-  :mod:`repro.experiments.telemetry_demo` — the quickstart session
-  under fault injection / with the telemetry hub installed.
+* :mod:`repro.experiments.quickstart` — the quickstart session under
+  fault injection, with the telemetry hub installed, and across a
+  broker crash and recovery.
+
+:class:`TimeWeightedMetrics` is re-exported from :mod:`repro.telemetry`.
 """
 
-from .chaos_demo import run_chaos_quickstart
+from ..telemetry import TimeWeightedMetrics
 from .example56 import Example56Result, TimelineRow, run_example56
 from .harness import PolicyRunResult, run_broker_workload, run_policy_workload
-from .metrics import TimeWeightedMetrics
+from .quickstart import run_chaos_quickstart, run_telemetry_quickstart
 from .reporting import format_table
 from .sequence import figure2_diagram
-from .telemetry_demo import run_telemetry_quickstart
 
 __all__ = [
     "Example56Result",

@@ -19,9 +19,9 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..baselines.base import AllocatorPolicy
 from ..qos.classes import ServiceClass
+from ..telemetry import TimeWeightedMetrics
 from ..workloads.replay import drive_replay, request_for_session
 from ..workloads.sessions import SessionSpec, Workload
-from .metrics import TimeWeightedMetrics
 
 _EPSILON = 1e-9
 

@@ -28,8 +28,7 @@ from typing import Callable, Optional
 
 from .capacity import CapacityGauges
 from .events import EventStream, TelemetryEvent
-from .export import (events_jsonl, figure6_report, prometheus_snapshot,
-                     span_tree)
+from .export import figure6_report
 from .metrics import (Counter, DEFAULT_BUCKETS, Gauge, Histogram,
                       MetricsRegistry, TimeWeightedGauge)
 from .spans import Span, Tracer
@@ -49,10 +48,7 @@ __all__ = [
     "TimeWeightedGauge",
     "TimeWeightedMetrics",
     "Tracer",
-    "events_jsonl",
     "figure6_report",
-    "prometheus_snapshot",
-    "span_tree",
 ]
 
 

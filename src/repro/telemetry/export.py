@@ -1,6 +1,6 @@
-"""Exporters: JSONL event stream, span trees, Prometheus snapshot.
+"""The combined report over spans, metrics and the event stream.
 
-These render the three telemetry surfaces into deterministic text so
+It renders the three telemetry surfaces into deterministic text so
 the CLI (``repro telemetry`` / ``repro quickstart --telemetry``) can
 emit a Figure-6-style activity report, and so tests can diff the
 output byte-for-byte across same-seed runs.
@@ -9,25 +9,6 @@ output byte-for-byte across same-seed runs.
 from __future__ import annotations
 
 from typing import List
-
-from .events import EventStream
-from .metrics import MetricsRegistry
-from .spans import Tracer
-
-
-def events_jsonl(stream: EventStream) -> str:
-    """The event stream as JSON-lines (sorted keys, deterministic)."""
-    return stream.to_jsonl()
-
-
-def span_tree(tracer: Tracer) -> str:
-    """All span trees as indented text, one block per trace."""
-    return tracer.render_tree()
-
-
-def prometheus_snapshot(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format."""
-    return registry.render_prometheus()
 
 
 def figure6_report(telemetry: "object", *, title: str = "telemetry"
@@ -45,10 +26,10 @@ def figure6_report(telemetry: "object", *, title: str = "telemetry"
         sections.append(f"{text}\n{'-' * len(text)}")
 
     heading(f"{title}: span trees")
-    sections.append(span_tree(telemetry.tracer) or "(no spans)")
+    sections.append(telemetry.tracer.render_tree() or "(no spans)")
     heading(f"{title}: metrics snapshot")
-    sections.append(prometheus_snapshot(telemetry.metrics)
+    sections.append(telemetry.metrics.render_prometheus()
                     or "(no metrics)")
     heading(f"{title}: event stream (JSONL)")
-    sections.append(events_jsonl(telemetry.stream) or "(no events)")
+    sections.append(telemetry.stream.to_jsonl() or "(no events)")
     return "\n\n".join(sections)

@@ -77,35 +77,6 @@ def _encode_network_demand(network: NetworkDemand) -> ET.Element:
     return node
 
 
-def render_service_specific(sla: ServiceSLA) -> str:
-    """Render Table 1 XML as a compact string, byte-for-byte equal to
-    ``ET.tostring(encode_service_specific(sla), encoding="unicode")``.
-
-    The string-builder twin of :func:`render_service_sla`: the relay
-    to a resource manager re-encodes the SLA portion per hop, and
-    skipping the tree build keeps the message off the admission
-    profile.  A property test pins the equality.
-    """
-    out: List[str] = ["<Service-Specific>"]
-    add = out.append
-    add(f"<SLA-ID>{sla.sla_id}</SLA-ID>")
-    point = sla.agreed_point
-    if Dimension.CPU in point:
-        add(f"<CPU-QoS>{units.render_cpu(int(point[Dimension.CPU]))}"
-            f"</CPU-QoS>")
-    if Dimension.MEMORY_MB in point:
-        add(f"<Memory-QoS>"
-            f"{units.render_memory_mb(point[Dimension.MEMORY_MB])}"
-            f"</Memory-QoS>")
-    if Dimension.DISK_MB in point:
-        add(f"<Disk-QoS>{units.render_memory_mb(point[Dimension.DISK_MB])}"
-            f"</Disk-QoS>")
-    if sla.network is not None:
-        _render_network_demand(sla.network, add)
-    add("</Service-Specific>")
-    return "".join(out)
-
-
 def decode_service_specific(node: ET.Element
                             ) -> "Tuple[int, OperatingPoint, Optional[NetworkDemand]]":
     """Decode Table 1 XML into ``(sla_id, operating point, network)``."""
@@ -186,55 +157,6 @@ def encode_qos_levels(sla: ServiceSLA, measured: MeasuredQoS) -> ET.Element:
     if memory is not None:
         subelement(compute, "Memory", units.render_memory_mb(memory))
     return root
-
-
-def render_qos_levels(sla: ServiceSLA, measured: MeasuredQoS) -> str:
-    """Render Table 3 XML as a compact string, byte-for-byte equal to
-    ``ET.tostring(encode_qos_levels(sla, measured), encoding="unicode")``.
-
-    Conformance replies go out once per verifier poll per session, so
-    at scale this is the chattiest message in the system; the string
-    builder skips the tree entirely.  A property test pins the
-    equality.
-    """
-    out: List[str] = ["<QoS_Levels>"]
-    add = out.append
-    add(f"<SLA-ID>{sla.sla_id}</SLA-ID>")
-    network = sla.network
-    if network is not None:
-        add("<Measured_Network_QoS>")
-        add(f"<Source_IP>{_escape_text(network.source_ip)}</Source_IP>")
-        add(f"<Dest_IP>{_escape_text(network.dest_ip)}</Dest_IP>")
-        bandwidth = measured.get(Dimension.BANDWIDTH_MBPS)
-        if bandwidth is not None:
-            add(f"<Bandwidth>{units.render_bandwidth_mbps(bandwidth)}"
-                f"</Bandwidth>")
-        loss = measured.get(Dimension.PACKET_LOSS)
-        if loss is not None and network.packet_loss_bound is not None:
-            bound = network.packet_loss_bound
-            if bound.satisfied_by(loss):
-                add(f"<Packet_Loss>{units.render_bound(bound)}"
-                    f"</Packet_Loss>")
-            else:
-                add(f"<Packet_Loss>{units.render_percentage(loss)}"
-                    f"</Packet_Loss>")
-        delay = measured.get(Dimension.DELAY_MS)
-        if delay is not None:
-            add(f"<Delay>{units.render_delay_ms(delay)}</Delay>")
-        add("</Measured_Network_QoS>")
-    cpu = measured.get(Dimension.CPU)
-    memory = measured.get(Dimension.MEMORY_MB)
-    if cpu is None and memory is None:
-        add("<Measured_Computation_QoS />")
-    else:
-        add("<Measured_Computation_QoS>")
-        if cpu is not None:
-            add(f"<CPU>{units.render_cpu(int(cpu))}</CPU>")
-        if memory is not None:
-            add(f"<Memory>{units.render_memory_mb(memory)}</Memory>")
-        add("</Measured_Computation_QoS>")
-    add("</QoS_Levels>")
-    return "".join(out)
 
 
 def decode_qos_levels(node: ET.Element) -> "Tuple[int, Dict[Dimension, float]]":

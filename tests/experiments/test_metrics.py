@@ -1,10 +1,10 @@
-"""Tests for time-weighted metrics (repro.experiments.metrics)."""
+"""Tests for time-weighted metrics (repro.telemetry)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.metrics import TimeWeightedMetrics
+from repro.telemetry import TimeWeightedMetrics
 
 
 class TestIntegration:
@@ -60,11 +60,11 @@ class TestIntegration:
 class TestAuditRegressions:
     """Findings of the PR-4 bug audit, pinned as regressions.
 
-    ``TimeWeightedMetrics`` now lives in ``repro.telemetry`` (this
-    module re-exports it); the audit pinned down two soft spots: the
-    zero-fill semantics for signals that first appear mid-window, and
-    silent re-finalization moving the window boundary under an
-    already-read mean.
+    ``TimeWeightedMetrics`` lives in ``repro.telemetry`` (the
+    experiments package re-exports it); the audit pinned down two soft
+    spots: the zero-fill semantics for signals that first appear
+    mid-window, and silent re-finalization moving the window boundary
+    under an already-read mean.
     """
 
     def test_late_first_signal_is_zero_filled(self):
@@ -111,7 +111,9 @@ class TestAuditRegressions:
             metrics.observe(11.0, x=1.0)
 
     def test_shim_reexports_the_telemetry_class(self):
+        from repro.experiments import TimeWeightedMetrics as Reexported
         from repro.telemetry.timeweighted import (
             TimeWeightedMetrics as Canonical,
         )
         assert TimeWeightedMetrics is Canonical
+        assert Reexported is Canonical

@@ -12,7 +12,6 @@ from repro.qos.classes import ServiceClass
 from repro.qos.parameters import Dimension, exact_parameter
 from repro.qos.specification import QoSSpecification
 from repro.sla.negotiation import ServiceRequest
-from repro.telemetry import events_jsonl, prometheus_snapshot
 from repro.telemetry.events import EventStream, TelemetryEvent
 
 #: Metric families every admission-bearing run must expose, with their
@@ -48,7 +47,7 @@ def telemetry():
 
 class TestJsonlRoundTrip:
     def test_parse_and_reemit_is_byte_identical(self, telemetry):
-        exported = events_jsonl(telemetry.stream)
+        exported = telemetry.stream.to_jsonl()
         assert exported, "admission run produced no events"
         rebuilt = EventStream()
         for line in exported.splitlines():
@@ -56,25 +55,25 @@ class TestJsonlRoundTrip:
             rebuilt.append(TelemetryEvent(
                 time=row["time"], category=row["category"],
                 message=row["message"], details=row["details"]))
-        assert events_jsonl(rebuilt) == exported
+        assert rebuilt.to_jsonl() == exported
 
     def test_every_line_is_self_contained_json(self, telemetry):
-        for line in events_jsonl(telemetry.stream).splitlines():
+        for line in telemetry.stream.to_jsonl().splitlines():
             row = json.loads(line)
             assert set(row) == {"time", "category", "message",
                                 "details"}
             assert isinstance(row["details"], dict)
 
     def test_export_does_not_consume_the_stream(self, telemetry):
-        first = events_jsonl(telemetry.stream)
-        second = events_jsonl(telemetry.stream)
+        first = telemetry.stream.to_jsonl()
+        second = telemetry.stream.to_jsonl()
         assert first == second
         assert len(telemetry.stream) == len(first.splitlines())
 
 
 class TestPrometheusSchema:
     def test_pinned_families_present_with_pinned_types(self, telemetry):
-        text = prometheus_snapshot(telemetry.metrics)
+        text = telemetry.metrics.render_prometheus()
         types = {}
         for line in text.splitlines():
             if line.startswith("# TYPE "):
@@ -86,7 +85,7 @@ class TestPrometheusSchema:
                 f"(got {types.get(family)!r}, pinned {kind!r})")
 
     def test_every_sample_row_belongs_to_a_typed_family(self, telemetry):
-        text = prometheus_snapshot(telemetry.metrics)
+        text = telemetry.metrics.render_prometheus()
         declared = set()
         for line in text.splitlines():
             if not line:
@@ -101,5 +100,5 @@ class TestPrometheusSchema:
             float(value)  # parses as a Prometheus sample value
 
     def test_snapshot_is_repeatable(self, telemetry):
-        assert (prometheus_snapshot(telemetry.metrics)
-                == prometheus_snapshot(telemetry.metrics))
+        assert (telemetry.metrics.render_prometheus()
+                == telemetry.metrics.render_prometheus())

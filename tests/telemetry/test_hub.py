@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.testbed import (attach_control_plane, build_testbed,
                                 install_telemetry)
-from repro.telemetry import Telemetry, events_jsonl
+from repro.telemetry import Telemetry
 
 from ..chaos.conftest import guaranteed_request
 
@@ -101,7 +101,7 @@ class TestEndToEnd:
         testbed.broker.request_service(
             guaranteed_request(client="user1", cpu=4,
                                with_network=False))
-        lines = events_jsonl(telemetry.stream).splitlines()
+        lines = telemetry.stream.to_jsonl().splitlines()
         assert lines
         for line in lines:
             record = json.loads(line)
