@@ -112,6 +112,18 @@ BENCH_FEDERATION_SMOKE=1 python -m pytest \
     benchmarks/bench_federation.py -q > /dev/null
 echo "federation smoke OK (reroute path at N=2/4)"
 
+echo "== federate smoke (byte-determinism) =="
+# Two fresh interpreters must print byte-identical federation reports:
+# the crashed domain, every reroute and delegation and the rejoin
+# reconciliation are all functions of the seed alone.
+fed_a="$(mktemp)"; fed_b="$(mktemp)"
+python -m repro federate --domains 3 --crash 7 > "$fed_a"
+python -m repro federate --domains 3 --crash 7 > "$fed_b"
+diff "$fed_a" "$fed_b" > /dev/null || {
+    echo "federate report is not deterministic" >&2; exit 1; }
+rm -f "$fed_a" "$fed_b"
+echo "federate smoke OK (deterministic)"
+
 echo "== bench trend (headline regression gate) =="
 # Every BENCH_*.json headline metric vs the recorded baseline in
 # benchmarks/BENCH_trend.json; >20% regression in the bad direction

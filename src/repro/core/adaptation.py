@@ -13,7 +13,7 @@ run the optimizer) lives in :mod:`repro.core.scenarios` and the broker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from ..sim.trace import TraceRecorder
 from .capacity import CapacityPartition, RebalanceReport
@@ -61,8 +61,6 @@ class AdaptationEngine:
         self.partition = partition
         self._trace = trace
         self._now = now
-        self.decisions: List[AllocationDecision] = []
-        self.adapt_invocations = 0
 
     # ------------------------------------------------------------------
     # Paper-named primitives
@@ -88,7 +86,6 @@ class AdaptationEngine:
         shortfall is covered from ``Ca`` and then ``Cb`` (down to the
         protected minimum). Returns the rebalance report; its
         ``adapt_transfer`` is the paper's ``ΔG(t)``."""
-        self.adapt_invocations += 1
         report = self.partition.rebalance()
         if self._trace is not None and report.adapt_transfer > 0:
             self._trace.record(
@@ -123,13 +120,10 @@ class AdaptationEngine:
             return None
         holding = self.partition.guaranteed_holding(user)
         adapted = report.adapt_transfer > before_transfer + 1e-9
-        if adapted:
-            self.adapt_invocations += 1
         decision = AllocationDecision(
             user=user, requested=demand, granted=holding.served,
             adapted=adapted,
             preempted=sum(report.preempted.values()), report=report)
-        self.decisions.append(decision)
         self._log_decision("guaranteed", decision)
         return decision
 
@@ -147,7 +141,6 @@ class AdaptationEngine:
             user=user, requested=demand, granted=served,
             adapted=False, preempted=sum(report.preempted.values()),
             report=report)
-        self.decisions.append(decision)
         self._log_decision("best-effort", decision)
         return decision
 

@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, ContextManager, Dict, List,
-                    Optional, Sequence)
+from typing import (TYPE_CHECKING, ContextManager, Dict, List, Optional,
+                    Sequence)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from ..obs import DecisionLog, SloEngine
@@ -80,6 +80,9 @@ from .optimizer import (
 from .discovery import DirectDiscovery, DiscoveryService
 from .reservation_system import CompositeReservation, ReservationSystem
 from .scenarios import ScenarioEngine
+
+#: Quality levels the optimizer enumerates per controlled-load SLA.
+_OPTIMIZER_LEVELS = 4
 
 
 @dataclass
@@ -186,20 +189,15 @@ class AQoSBroker:
             ``nrm`` for booking when given).
         pricing: Pricing policy.
         trace: Optional activity recorder.
-        mds / hub / verifier / repository / ledger: Subsystems; built
-            fresh when omitted.
-        optimizer_levels: Quality levels enumerated per controlled-load
-            SLA for the optimizer.
+        mds / hub / repository: Subsystems; built fresh when omitted.
         optimizer_interval: When > 0, the optimizer runs periodically
             ("the optimization heuristic is executed periodically by
             the AQoS broker", Section 5.5).
-        promotion_policy: Callable ``(sla) -> bool`` deciding whether a
-            client accepts a promotion offer (default: always).
-        discovery: Pluggable discovery transport; defaults to a
-            :class:`~repro.core.discovery.DirectDiscovery` over
-            ``registry``. Chaos wiring swaps in a
-            :class:`~repro.core.discovery.ResilientDiscovery` that
-            rides the message bus and degrades to a stale cache.
+
+    Discovery starts as a :class:`~repro.core.discovery.DirectDiscovery`
+    over ``registry``; chaos wiring swaps in a
+    :class:`~repro.core.discovery.ResilientDiscovery` that rides the
+    message bus and degrades to a stale cache.
     """
 
     def __init__(self, sim: Simulator, *, registry: UddieRegistry,
@@ -212,16 +210,10 @@ class AQoSBroker:
                  mds: Optional[InformationService] = None,
                  hub: Optional[NotificationHub] = None,
                  repository: Optional[SLARepository] = None,
-                 ledger: Optional[AccountingLedger] = None,
-                 optimizer_levels: int = 4,
-                 optimizer_interval: float = 0.0,
-                 promotion_policy: Optional[Callable[[ServiceSLA], bool]] = None,
-                 discovery: Optional["DiscoveryService"] = None
-                 ) -> None:
+                 optimizer_interval: float = 0.0) -> None:
         self.sim = sim
         self.registry = registry
-        self.discovery = (discovery if discovery is not None
-                          else DirectDiscovery(registry))
+        self.discovery: "DiscoveryService" = DirectDiscovery(registry)
         self.compute_rm = compute_rm
         self.partition = partition
         self.nrm = nrm
@@ -230,11 +222,11 @@ class AQoSBroker:
         self.trace = trace
         self.mds = mds if mds is not None else InformationService(sim)
         self.hub = hub if hub is not None else NotificationHub()
-        # NB: identity checks, not truthiness — an empty repository or
-        # ledger is falsy (it defines __len__) and must not be replaced.
+        # NB: an identity check, not truthiness — an empty repository
+        # is falsy (it defines __len__) and must not be replaced.
         self.repository = (repository if repository is not None
                            else SLARepository())
-        self.ledger = ledger if ledger is not None else AccountingLedger()
+        self.ledger = AccountingLedger()
         self.allocation = AllocationManager()
         #: The broker-wide metrics registry — the single counting
         #: mechanism for cross-cutting operational stats (QLNT113).
@@ -269,8 +261,6 @@ class AQoSBroker:
             sim, compute_rm, nrm=nrm, coordinator=coordinator, trace=trace)
         self.scenarios = ScenarioEngine(self)
         self.stats = BrokerStats()
-        self.optimizer_levels = optimizer_levels
-        self.promotion_policy = promotion_policy or (lambda sla: True)
         self._closing: set = set()
         self._be_counter = 0
 
@@ -809,13 +799,11 @@ class AQoSBroker:
     # ==================================================================
 
     def request_best_effort(self, user: str, cpu: float, *,
-                            duration: Optional[float] = None,
-                            allow_partial: bool = False) -> bool:
+                            duration: Optional[float] = None) -> bool:
         """Serve a best-effort request from ``Cb`` plus idle capacity.
 
-        Strict by default (the paper's algorithm refuses rather than
-        partially serves); with ``allow_partial`` whatever fits is
-        granted.
+        Strict: the paper's algorithm refuses rather than partially
+        serves.
         """
         self.stats.requests += 1
         self.stats.best_effort_requests += 1
@@ -824,7 +812,7 @@ class AQoSBroker:
                          constraint="demand",
                          reason="non-positive demand")
             return False
-        if not allow_partial and not self.engine.can_allocate_best_effort(cpu):
+        if not self.engine.can_allocate_best_effort(cpu):
             self.record(f"best-effort request by {user!r} for {cpu:g} "
                         f"node(s) refused (idle="
                         f"{self.partition.idle_capacity():g})")
@@ -993,7 +981,7 @@ class AQoSBroker:
             key = self._user_key(sla.sla_id)
             candidates = candidates_for(key, sla.specification,
                                         sla.service_class, self.pricing,
-                                        levels=self.optimizer_levels)
+                                        levels=_OPTIMIZER_LEVELS)
             # The optimizer moves sessions within [floor, agreed]; going
             # above the agreed point requires an accepted promotion
             # offer (Scenario 2c), never a silent upgrade-and-bill.
@@ -1184,29 +1172,28 @@ class AQoSBroker:
 
     def offer_promotion(self, sla: ServiceSLA,
                         point: OperatingPoint) -> bool:
-        """Offer a QoS upgrade; on acceptance the SLA's agreed terms
-        are re-negotiated upward and the new point applied."""
-        accepted = bool(self.promotion_policy(sla))
+        """Offer a QoS upgrade, which clients always accept; when the
+        upgrade fits, the SLA's agreed terms are re-negotiated upward
+        and the new point applied."""
         applied = False
-        if accepted:
-            demand = QoSSpecification.point_demand(point)
-            holding = self.partition_holding(sla.sla_id)
-            current = holding.served if holding is not None else 0.0
-            if demand.cpu - current <= self.partition.idle_capacity() + 1e-9:
-                new_rate = self.pricing.point_rate(point, sla.service_class)
-                previous_agreed = dict(sla.agreed_point)
-                sla.renegotiate_point(dict(point), new_rate)
-                try:
-                    self.apply_point(sla, dict(point))
-                except (CapacityError, SLAError):
-                    sla.renegotiate_point(previous_agreed,
-                                          self.pricing.point_rate(
-                                              previous_agreed,
-                                              sla.service_class))
-                else:
-                    applied = True
-                    self.ledger.rate_changed(sla.sla_id, self.sim.now,
-                                             new_rate)
+        demand = QoSSpecification.point_demand(point)
+        holding = self.partition_holding(sla.sla_id)
+        current = holding.served if holding is not None else 0.0
+        if demand.cpu - current <= self.partition.idle_capacity() + 1e-9:
+            new_rate = self.pricing.point_rate(point, sla.service_class)
+            previous_agreed = dict(sla.agreed_point)
+            sla.renegotiate_point(dict(point), new_rate)
+            try:
+                self.apply_point(sla, dict(point))
+            except (CapacityError, SLAError):
+                sla.renegotiate_point(previous_agreed,
+                                      self.pricing.point_rate(
+                                          previous_agreed,
+                                          sla.service_class))
+            else:
+                applied = True
+                self.ledger.rate_changed(sla.sla_id, self.sim.now,
+                                         new_rate)
         self.ledger.promotion_offered(sla.sla_id, accepted=applied)
         self.record(f"promotion offer to SLA {sla.sla_id}: "
                     f"{'accepted' if applied else 'declined/refused'}")

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..core.broker import ServiceOutcome
 from ..core.testbed import Testbed, build_testbed, install_all
 from ..errors import (BrokerCrash, CircuitOpenError, FederationError,
                       TransientMessageError)
@@ -55,6 +56,10 @@ __all__ = [
     "FederationDomain",
     "IncomingDelegation",
 ]
+
+#: Cross-domain callers give each message two tries.
+_RETRY_POLICY = RetryPolicy(max_attempts=2, timeout=5.0,
+                            circuit_cooldown=20.0)
 
 
 @dataclass
@@ -93,11 +98,9 @@ class FederatedControlPlane:
         domains: Domain count (named ``d1..dN``) or explicit names.
         seed: Master seed; every domain derives decorrelated
             substreams from it.
-        latency: Per-delivery bus latency.
-        heartbeat_interval: Sim-clock cadence of the liveness probes.
-        confirm_timeout: Age after which a peer abandons an
-            unconfirmed incoming delegation (default twice the
-            heartbeat interval).
+        heartbeat_interval: Sim-clock cadence of the liveness probes;
+            a peer abandons an unconfirmed incoming delegation after
+            twice this interval.
         testbed_defaults: ``build_testbed`` keyword overrides applied
             to every domain (capacity split, machine size, ...).
         capacity: Per-domain ``build_testbed`` overrides, keyed by
@@ -105,20 +108,14 @@ class FederatedControlPlane:
         journal_stores: Per-domain journal stores (the crash-point
             sweep arms a :class:`~repro.recovery.crashpoints.CrashingJournalStore`
             this way); missing domains get in-memory stores.
-        inner_faults: Optional message-level
-            :class:`~repro.xmlmsg.faults.FaultPlan` running beneath
-            the domain-level chaos.
-        retry_policy: Policy for the cross-domain callers.
     """
 
-    def __init__(self, *, domains=3, seed: int = 0, latency: float = 0.0,
+    def __init__(self, *, domains=3, seed: int = 0,
                  heartbeat_interval: float = 5.0,
-                 confirm_timeout: Optional[float] = None,
                  testbed_defaults: Optional[Dict[str, object]] = None,
                  capacity: Optional[Dict[str, Dict[str, object]]] = None,
-                 journal_stores: Optional[Dict[str, object]] = None,
-                 inner_faults=None,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+                 journal_stores: Optional[Dict[str, object]] = None
+                 ) -> None:
         if isinstance(domains, int):
             if domains < 1:
                 raise FederationError(
@@ -130,22 +127,17 @@ class FederatedControlPlane:
             raise FederationError(f"duplicate domain names: {names}")
         self.sim = Simulator()
         self.trace = TraceRecorder()
-        self.bus = MessageBus(self.sim, trace=self.trace, latency=latency)
+        self.bus = MessageBus(self.sim, trace=self.trace)
         self.seed = seed
         self._names = names
         self.domains: "Dict[str, FederationDomain]" = {}
         self.chaos = DomainChaos(lambda: self.sim.now,
-                                 domain_of=self._domain_of,
-                                 inner=inner_faults)
+                                 domain_of=self._domain_of)
         self.bus.install_faults(self.chaos)
         self.health = PeerHealth(lambda: self.sim.now,
                                  interval=heartbeat_interval)
         self.heartbeat_interval = heartbeat_interval
-        self.confirm_timeout = (confirm_timeout
-                                if confirm_timeout is not None
-                                else 2.0 * heartbeat_interval)
-        policy = retry_policy or RetryPolicy(
-            max_attempts=2, timeout=5.0, circuit_cooldown=20.0)
+        self.confirm_timeout = 2.0 * heartbeat_interval
         root_rng = RandomSource(seed)
         stores = journal_stores or {}
         for index, name in enumerate(names):
@@ -164,7 +156,7 @@ class FederatedControlPlane:
                         journal_store=stores.get(name))
             caller = ResilientCaller(
                 self.bus, rng=testbed.rng.stream("federation"),
-                policy=policy, trace=self.trace, name=f"fed:{name}")
+                policy=_RETRY_POLICY, trace=self.trace, name=f"fed:{name}")
             domain = FederationDomain(name=name, testbed=testbed,
                                       caller=caller,
                                       sla_floor=1000 * (index + 1))
@@ -377,79 +369,64 @@ class FederatedControlPlane:
                          homes: "Optional[Sequence[str]]" = None
                          ) -> "List[FederatedOutcome]":
         """Admit a batch, amortizing each home domain's admission
-        (PR-6 group commit + single water-fill); rejects fall through
-        to delegation individually."""
+        (PR-6 group commit + single water-fill); every request then
+        settles through the single-request path."""
         if homes is None:
             homes = [self._names[0]] * len(requests)
         if len(homes) != len(requests):
             raise FederationError(
                 f"{len(requests)} requests but {len(homes)} homes")
-        outcomes: "List[Optional[FederatedOutcome]]" = [None] * len(requests)
         groups: "Dict[str, List[int]]" = {}
         for index, home in enumerate(homes):
             if home not in self.domains:
                 raise FederationError(f"unknown home domain: {home!r}")
             groups.setdefault(home, []).append(index)
+        outcomes: "Dict[int, FederatedOutcome]" = {}
         for home in sorted(groups):
             indices = groups[home]
-            domain = self.domains[home]
-            self.stats["requests"] += len(indices)
-            if self.chaos.is_crashed(home):
-                for index in indices:
-                    outcomes[index] = self._admit(requests[index], home)
-                continue
-            self._acting = home
-            try:
-                local = domain.testbed.broker.request_services(
-                    [requests[index] for index in indices])
-            except BrokerCrash as fault:
-                self._note_crash(home, f"died mid-batch: {fault}")
-                for index in indices:
-                    outcomes[index] = self._admit(requests[index], home)
-                continue
-            for index, outcome in zip(indices, local):
-                if outcome.accepted:
-                    self.stats["local"] += 1
-                    sla_id = (outcome.sla.sla_id
-                              if outcome.sla is not None else None)
-                    outcomes[index] = FederatedOutcome(
-                        request=requests[index], accepted=True, home=home,
-                        domain=home, delegated=False, rerouted=(),
-                        delegation_id="", sla_id=sla_id, reason="")
-                    continue
+            batch = [requests[index] for index in indices]
+            self.stats["requests"] += len(batch)
+            local: "Sequence[Optional[ServiceOutcome]]" = [None] * len(batch)
+            if not self.chaos.is_crashed(home):
+                broker = self.domains[home].testbed.broker
                 try:
-                    outcomes[index] = self._delegate(
-                        domain, requests[index], origin_home=home,
-                        local_reason=outcome.reason
-                        or "rejected by home domain")
+                    local = broker.request_services(batch)
                 except BrokerCrash as fault:
-                    fallen = self._acting
-                    if fallen is not None \
-                            and not self.chaos.is_crashed(fallen):
-                        self._note_crash(
-                            fallen, f"journal write died: {fault}")
-                    outcomes[index] = self._admit(requests[index], home)
-        return [outcome for outcome in outcomes if outcome is not None]
+                    self._note_crash(home, f"died mid-batch: {fault}")
+                    for index, request in zip(indices, batch):
+                        outcomes[index] = self._readmit(request, home,
+                                                        fallen=home)
+                    continue
+            for index, request, outcome in zip(indices, batch, local):
+                outcomes[index] = self._admit(request, home, outcome)
+        return [outcomes[index] for index in range(len(requests))]
 
-    def _admit(self, request: ServiceRequest,
-               home: Optional[str]) -> FederatedOutcome:
+    def _admit(self, request: ServiceRequest, home: Optional[str],
+               local: "Optional[ServiceOutcome]" = None
+               ) -> FederatedOutcome:
         try:
-            return self._admit_once(request, home)
+            return self._admit_once(request, home, local)
         except BrokerCrash as fault:
-            # The acting domain's own journal died mid-write. Mark the
-            # domain down, then check its *durable* journal before
-            # retrying: if the admission (or an outgoing delegation's
-            # confirm) committed before the crash, the booking revives
-            # on rejoin and re-admitting it elsewhere would be a
-            # double admission.
+            # The acting domain's own journal died mid-write.
             fallen = self._acting
-            if fallen is not None and not self.chaos.is_crashed(fallen):
+            assert fallen is not None
+            if not self.chaos.is_crashed(fallen):
                 self._note_crash(fallen, f"journal write died: {fault}")
-            if fallen is not None:
-                survivor = self._durable_admission(fallen, request)
-                if survivor is not None:
-                    return survivor
-            return self._admit_once(request, home)
+            return self._readmit(request, home, fallen=fallen)
+
+    def _readmit(self, request: ServiceRequest, home: Optional[str], *,
+                 fallen: str) -> FederatedOutcome:
+        """Settle a request again after ``fallen`` died under it.
+
+        The dead domain's *durable* journal is checked first: if the
+        admission (or an outgoing delegation's confirm) committed
+        before the crash, the booking revives on rejoin and
+        re-admitting it elsewhere would be a double admission.
+        """
+        survivor = self._durable_admission(fallen, request)
+        if survivor is not None:
+            return survivor
+        return self._admit_once(request, home)
 
     def _durable_admission(self, fallen: str, request: ServiceRequest
                            ) -> "Optional[FederatedOutcome]":
@@ -491,57 +468,55 @@ class FederatedControlPlane:
                        "revives on rejoin")
         return None
 
-    def _admit_once(self, request: ServiceRequest,
-                    home: Optional[str]) -> FederatedOutcome:
+    def _admit_once(self, request: ServiceRequest, home: Optional[str],
+                    local: "Optional[ServiceOutcome]" = None
+                    ) -> FederatedOutcome:
+        """Settle one request from its home domain, or from the first
+        survivor when the home is down; ``local`` is the home's
+        batched outcome, when the batch already has one."""
         name = home if home is not None else self._names[0]
         if name not in self.domains:
             raise FederationError(f"unknown home domain: {name!r}")
-        origin = self.domains[name]
-        if not self.chaos.is_crashed(name):
-            self._acting = name
-            outcome = origin.testbed.broker.request_service(request)
-            if outcome.accepted:
-                self.stats["local"] += 1
-                sla_id = (outcome.sla.sla_id
-                          if outcome.sla is not None else None)
+        acting, rerouted = name, []
+        # A home that died after its batch keeps the bookings the
+        # batch committed; only what it rejected moves on.
+        if self.chaos.is_crashed(name) \
+                and (local is None or not local.accepted):
+            alive = [peer for peer in self._names
+                     if peer != name and not self.chaos.is_crashed(peer)]
+            if not alive:
+                self.stats["rejected"] += 1
                 return FederatedOutcome(
-                    request=request, accepted=True, home=name, domain=name,
-                    delegated=False, rerouted=(), delegation_id="",
-                    sla_id=sla_id, reason="")
-            return self._delegate(
-                origin, request, origin_home=name,
-                local_reason=outcome.reason or "rejected by home domain")
-        # Home is down: a surviving domain becomes the acting home.
-        alive = [peer for peer in self._names
-                 if peer != name and not self.chaos.is_crashed(peer)]
-        if not alive:
-            self.stats["rejected"] += 1
-            return FederatedOutcome(
-                request=request, accepted=False, home=name, domain=None,
-                delegated=False, rerouted=(name,), delegation_id="",
-                sla_id=None, reason="every domain is down")
-        acting = self.domains[alive[0]]
-        self._acting = acting.name
-        self.stats["rerouted"] += 1
-        self.reroutes.append((self.sim.now, request.client, name,
-                              f"acting home {acting.name}"))
-        self._decide(acting, "reroute", subject=request.client,
-                     constraint=f"home {name} unreachable",
-                     reason=f"acting home {acting.name}",
-                     chosen={"from": name, "to": acting.name})
-        outcome = acting.testbed.broker.request_service(request)
+                    request=request, accepted=False, home=name,
+                    domain=None, delegated=False, rerouted=(name,),
+                    delegation_id="", sla_id=None,
+                    reason="every domain is down")
+            acting, rerouted, local = alive[0], [name], None
+            self.stats["rerouted"] += 1
+            self.reroutes.append((self.sim.now, request.client, name,
+                                  f"acting home {acting}"))
+            self._decide(self.domains[acting], "reroute",
+                         subject=request.client,
+                         constraint=f"home {name} unreachable",
+                         reason=f"acting home {acting}",
+                         chosen={"from": name, "to": acting})
+        self._acting = acting
+        domain = self.domains[acting]
+        outcome = (local if local is not None
+                   else domain.testbed.broker.request_service(request))
         if outcome.accepted:
             self.stats["local"] += 1
-            sla_id = (outcome.sla.sla_id
-                      if outcome.sla is not None else None)
+            sla_id = outcome.sla.sla_id if outcome.sla is not None else None
             return FederatedOutcome(
-                request=request, accepted=True, home=name,
-                domain=acting.name, delegated=False, rerouted=(name,),
+                request=request, accepted=True, home=name, domain=acting,
+                delegated=False, rerouted=tuple(rerouted),
                 delegation_id="", sla_id=sla_id, reason="")
         return self._delegate(
-            acting, request, origin_home=name,
-            local_reason=outcome.reason or "rejected by acting home",
-            rerouted=[name])
+            domain, request, origin_home=name,
+            local_reason=outcome.reason or (
+                "rejected by acting home" if rerouted
+                else "rejected by home domain"),
+            rerouted=rerouted)
 
     # ------------------------------------------------------------------
     # Delegation (the superscheduling core)
@@ -549,9 +524,7 @@ class FederatedControlPlane:
 
     def _delegate(self, acting: FederationDomain, request: ServiceRequest,
                   *, origin_home: str, local_reason: str,
-                  rerouted: "Optional[List[str]]" = None
-                  ) -> FederatedOutcome:
-        rerouted = list(rerouted) if rerouted is not None else []
+                  rerouted: "List[str]") -> FederatedOutcome:
         sender = f"fed:{acting.name}"
         solicitation = self._next_id(acting.name)
         candidates: "List[Dict[str, object]]" = []

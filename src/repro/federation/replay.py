@@ -11,8 +11,8 @@ rack cascade that would hollow out a single-domain deployment only
 degrades one failure domain here, and the federation's job is to
 reroute around it.
 
-A broker crash can be injected on top (``crash_domain``/``crash_at``)
-with a scheduled rejoin, which is the satellite scenario the atlas
+A broker crash can be injected on top (``crash_domain``, down from 30%
+to 60% of the horizon), which is the satellite scenario the atlas
 regression pins: three domains, one crashed broker, byte-identical
 reports per ``(scenario, seed, domains, crash)``, and guaranteed-class
 availability in the *surviving* domains read from each domain's PR-8
@@ -22,7 +22,6 @@ SLO engine.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -71,10 +70,7 @@ class FederatedReplayResult:
 def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
                      seed: int = 0, batch_window: float = 5.0,
                      sample_interval: float = 5.0,
-                     heartbeat_interval: float = 5.0,
-                     crash_domain: Optional[str] = None,
-                     crash_at: Optional[float] = None,
-                     recover_at: Optional[float] = None
+                     crash_domain: Optional[str] = None
                      ) -> FederatedReplayResult:
     """Replay one scenario across ``domains`` failure domains.
 
@@ -83,9 +79,8 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
         seed: Drives workload compilation and every domain's streams —
             the compiled workload is identical to the single-domain
             replay's at the same seed.
-        crash_domain: When set, that broker is crashed at ``crash_at``
-            (default 30% of the horizon) and rejoined at ``recover_at``
-            (default 60%; pass ``float('inf')`` to never rejoin).
+        crash_domain: When set, that broker is crashed at 30% of the
+            horizon and rejoined at 60%.
     """
     if isinstance(spec, str):
         from ..workloads.atlas import get_scenario
@@ -95,7 +90,6 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
     total = guaranteed + adaptive + best_effort
     plane = FederatedControlPlane(
         domains=domains, seed=seed,
-        heartbeat_interval=heartbeat_interval,
         testbed_defaults={
             "total_cpu": total, "guaranteed_cpu": guaranteed,
             "adaptive_cpu": adaptive, "best_effort_cpu": best_effort,
@@ -107,13 +101,10 @@ def replay_federated(spec: "ScenarioSpec | str", *, domains: int = 3,
     horizon = spec.horizon
 
     if crash_domain is not None:
-        crash_time = (crash_at if crash_at is not None
-                      else round(0.3 * horizon, 6))
-        rejoin_time = (recover_at if recover_at is not None
-                       else round(0.6 * horizon, 6))
+        crash_time = round(0.3 * horizon, 6)
+        rejoin_time = round(0.6 * horizon, 6)
         plane.crash_broker(crash_domain, at=crash_time)
-        if not math.isinf(rejoin_time):
-            plane.recover_broker(crash_domain, at=rejoin_time)
+        plane.recover_broker(crash_domain, at=rejoin_time)
     else:
         crash_time = rejoin_time = None
 
@@ -238,8 +229,7 @@ def _build_report(plane: FederatedControlPlane,
         "crash": (None if crash_domain is None else {
             "domain": crash_domain,
             "at": crash_time,
-            "recover_at": (None if math.isinf(rejoin_time)
-                           else rejoin_time),
+            "recover_at": rejoin_time,
         }),
         "crashed_at_end": plane.chaos.crashed,
         "crash_events": len(plane.crashes),

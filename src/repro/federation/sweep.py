@@ -117,16 +117,14 @@ class SweepResult:
 
 def run_delegation_episode(*, crash_domain: Optional[str] = None,
                            crash_lsn: Optional[int] = None,
-                           mode: str = "before", seed: int = 0,
-                           recover_at: float = EPISODE_RECOVER_AT,
-                           horizon: float = EPISODE_HORIZON
+                           mode: str = "before", seed: int = 0
                            ) -> EpisodeResult:
     """Run the scripted episode, optionally crashing one domain's
     journal at its ``crash_lsn``-th write, and check the invariants.
 
-    The crashed domain is recovered at ``recover_at`` — after the
-    delegation traffic, before the horizon — so reconciliation and the
-    post-rejoin heartbeats are part of every swept cell.
+    The crashed domain is recovered at ``EPISODE_RECOVER_AT`` — after
+    the delegation traffic, before the horizon — so reconciliation and
+    the post-rejoin heartbeats are part of every swept cell.
     """
     stores: "Dict[str, object]" = {}
     armed: Optional[CrashingJournalStore] = None
@@ -137,7 +135,7 @@ def run_delegation_episode(*, crash_domain: Optional[str] = None,
     plane = FederatedControlPlane(
         domains=3, seed=seed, capacity={"d1": dict(SMALL_DOMAIN)},
         journal_stores=stores)
-    plane.start_heartbeats(until=horizon)
+    plane.start_heartbeats(until=EPISODE_HORIZON)
     outcomes: "List[FederatedOutcome]" = []
     for at, client, cpu, duration in EPISODE_WORKLOAD:
         def admit(client=client, cpu=cpu, duration=duration) -> None:
@@ -145,12 +143,12 @@ def run_delegation_episode(*, crash_domain: Optional[str] = None,
                 client, cpu, plane.sim.now, duration)))
         plane.sim.schedule_at(at, admit, label=f"workload:{client}")
     if crash_domain is not None:
-        plane.recover_broker(crash_domain, at=recover_at)
+        plane.recover_broker(crash_domain, at=EPISODE_RECOVER_AT)
     remaining = 3  # one armed store fires once; bound the loop anyway
     while remaining:
         remaining -= 1
         try:
-            plane.sim.run(until=horizon)
+            plane.sim.run(until=EPISODE_HORIZON)
             break
         except BrokerCrash:
             # The armed journal died inside one of the broker's *own*
@@ -184,18 +182,13 @@ def count_delegation_write_points(domain: str, *, seed: int = 0) -> int:
 def sweep_delegation_crash_points(
         *, domains: "Sequence[str]" = ("d1", "d2"),
         modes: "Sequence[str]" = ("before", "after"),
-        seed: int = 0,
-        lsns: "Optional[Sequence[int]]" = None) -> SweepResult:
+        seed: int = 0) -> SweepResult:
     """Crash every swept domain at every write point, both sides of
-    the append; ``lsns`` restricts the sweep (1-based) for quick runs.
-    """
+    the append."""
     cells: "List[SweepCell]" = []
     for domain in domains:
         total = count_delegation_write_points(domain, seed=seed)
-        targets = [lsn for lsn in (lsns if lsns is not None
-                                   else range(1, total + 1))
-                   if 1 <= lsn <= total]
-        for lsn in targets:
+        for lsn in range(1, total + 1):
             for mode in modes:
                 episode = run_delegation_episode(
                     crash_domain=domain, crash_lsn=lsn, mode=mode,

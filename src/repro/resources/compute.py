@@ -26,8 +26,6 @@ from ..sim.trace import TraceRecorder
 from .dsrt import CpuServiceClass, DsrtScheduler
 from .machine import Machine
 
-_job_counter = itertools.count(1)
-
 
 class JobState(Enum):
     """Lifecycle of a launched Grid service process."""
@@ -84,6 +82,7 @@ class ComputeResourceManager:
         #: and ``running_job_for`` stays O(1) at any fleet size.
         self._running_by_handle: Dict[int, int] = {}
         self._pid_counter = itertools.count(10_000)
+        self._job_counter = itertools.count(1)
         self._capacity_listeners: List[CapacityChangeListener] = []
         self._job_end_listeners: List[JobEndListener] = []
         machine.subscribe(self._on_machine_change)
@@ -155,7 +154,7 @@ class ComputeResourceManager:
         pid = next(self._pid_counter)
         self.gara.reservation_bind(handle, pid)
         reservation = self.gara.reservation_status(handle)
-        job = Job(job_id=next(_job_counter), pid=pid,
+        job = Job(job_id=next(self._job_counter), pid=pid,
                   service_name=service_name, handle=handle,
                   started_at=self._sim.now)
         self._jobs[job.job_id] = job

@@ -114,9 +114,3 @@ class TestTracing:
         rows = trace.filter(category="adaptation")
         assert any("admitted guaranteed" in r.message for r in rows)
         assert any("guaranteed allocation" in r.message for r in rows)
-
-    def test_decision_history_kept(self, engine):
-        engine.admit_guaranteed("u1", 10)
-        engine.allocate_guaranteed_resource("u1", 5)
-        engine.allocate_best_effort_resource("be", 3)
-        assert len(engine.decisions) == 2

@@ -6,9 +6,11 @@ across a broker crash. Each report's sha256 is pinned here, so a change
 to any of them must be reviewed (then re-pinned), never absorbed
 silently.
 
-The reports are rendered by a fresh interpreter through the CLI: the
-compute layer numbers jobs from a process-global counter, so only a
-fresh process reproduces the bytes the CLI prints.
+The pins are rendered by a fresh interpreter through the CLI: the XML
+message layer numbers envelopes from a process-global counter, and the
+telemetry report shows those ids, so only a fresh process reproduces
+every byte the CLI prints. Job ids are numbered per compute manager,
+so the chaos and crash reports also repeat inside one interpreter.
 """
 
 import hashlib
@@ -19,7 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.quickstart import run_crash_quickstart, summarize_journal
+from repro.experiments.quickstart import (run_chaos_quickstart,
+                                          run_crash_quickstart,
+                                          summarize_journal)
 
 REPO = Path(__file__).resolve().parents[2]
 SRC = REPO / "src"
@@ -38,11 +42,12 @@ REPORT_SHA256 = {
         "98aa3fcd69a467507836985dbfe6f4b703e3ca5bb4b8fee54484999db86e8a55",
     ("telemetry", "--seed", "3", "--chaos", "5"):
         "7f0110b3606c0e9044724c77c49b70824a3f9c95e482c3ce6adcbb67bbf52135",
-    # run_crash_quickstart(7), run_crash_quickstart(3)
+    # run_crash_quickstart(7), run_crash_quickstart(3); their job ids
+    # start at 1 since each compute manager numbers its own jobs
     ("quickstart", "--crash", "7"):
-        "c0c97057b41ce9a22ddfb85bfdc2dee0e922ab56dfa67a36b695bf5d5afe8862",
+        "744da77a67a97b558827ccc4c98d74d7e2146a0a733c54021b4a041a0a7e3777",
     ("quickstart", "--crash", "3"):
-        "633bd2d57d02cf0ab85ca5cebcae73f71808388003562bb9c7b9897570de6964",
+        "8458873f8e56647321c7ed297b938436d66ff980d44e6f49d6b73792db13bd4b",
 }
 
 
@@ -60,6 +65,13 @@ def test_report_bytes_are_pinned(args):
     report = run_cli(*args).removesuffix("\n")
     assert hashlib.sha256(report.encode()).hexdigest() \
         == REPORT_SHA256[args]
+
+
+@pytest.mark.parametrize("render", [run_crash_quickstart,
+                                    run_chaos_quickstart],
+                         ids=["crash", "chaos"])
+def test_report_repeats_in_one_interpreter(render):
+    assert render(7) == render(7)
 
 
 def test_crash_journal_round_trip(tmp_path):
